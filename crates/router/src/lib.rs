@@ -31,11 +31,15 @@
 //!   time and aborting on first failure, so a bad checkpoint stops after
 //!   one shard instead of taking out every replica.
 //! * **Observability** — `GET /fleet` reports per-shard health, breaker
-//!   state, in-flight counts and failure counters plus router totals.
+//!   state, in-flight counts and failure counters plus router totals and
+//!   the front end's transport counters (`http`).
 //!
-//! The HTTP plumbing (request parsing, keep-alive handling, response
-//! writing) is reused from [`dcam_server::http`]; the router adds no new
-//! dependencies beyond `dcam-server` itself and the vendored JSON shims.
+//! The HTTP front end (accept loop, bounded backlog, connection workers,
+//! keep-alive and receive deadlines, body parse, admin gate) is the
+//! shard's own [`dcam_server::http::FrontEnd`], so both tiers answer
+//! protocol errors identically; the router adds only its route function
+//! and no dependencies beyond `dcam-server` itself and the vendored JSON
+//! shims.
 
 #![warn(missing_docs)]
 
@@ -45,15 +49,14 @@ pub mod placement;
 pub mod retry;
 
 use breaker::{BreakerConfig, CircuitBreaker};
-use dcam_server::http::{self, Conn, RecvError, Request};
-use dcam_server::wire::error_body;
+use dcam_server::http::{lock, After, Exchange, FrontEnd, FrontEndConfig, HttpStats, Request};
+use dcam_server::wire;
 use dcam_server::{ClientConfig, ClientError, HttpClient, HttpResponse};
 use health::{HealthConfig, HealthState, HealthTransition, ProbeOutcome};
 use retry::{BackoffConfig, XorShift64};
 use serde::Value;
-use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -77,7 +80,10 @@ pub struct RouterConfig {
     /// Request bodies above this get a 413.
     pub max_body_bytes: usize,
     /// End-to-end budget per proxied request, covering every attempt,
-    /// failover and backoff sleep.
+    /// failover and backoff sleep. Also bounds receiving a request: one
+    /// whose bytes have started arriving must be complete within it, or
+    /// it gets a 408 (the shard's policy, so the router never cuts off an
+    /// upload its shards would accept).
     pub request_deadline: Duration,
     /// Per-attempt cap within the request deadline: a stalled shard is
     /// abandoned (and failed over) after this long even when the overall
@@ -180,14 +186,13 @@ struct Counters {
     rollouts_failed: AtomicU64,
 }
 
-/// State shared by the accept thread, connection workers and probers.
+/// State shared by the route function and the health probers.
 struct Ctx {
     cfg: RouterConfig,
     shards: Vec<ShardState>,
     counters: Counters,
+    /// Stops the health probers.
     shutdown: AtomicBool,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_ready: Condvar,
     /// Prober sleep wakes early on shutdown via this pair.
     sleeper: Mutex<()>,
     sleeper_cv: Condvar,
@@ -202,9 +207,7 @@ struct Ctx {
 /// processes (or [`dcam_server::DcamServer`] instances) and keep running.
 pub struct Router {
     ctx: Arc<Ctx>,
-    addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Vec<JoinHandle<()>>,
+    front: FrontEnd,
     health_threads: Vec<JoinHandle<()>>,
 }
 
@@ -218,9 +221,6 @@ pub fn serve_router(cfg: RouterConfig) -> io::Result<Router> {
             "router needs at least one shard address",
         ));
     }
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shards = cfg
         .shards
         .iter()
@@ -234,33 +234,29 @@ pub fn serve_router(cfg: RouterConfig) -> io::Result<Router> {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(1)
         ^ (std::process::id() as u64).rotate_left(32);
+    let front_cfg = FrontEndConfig {
+        name: "router",
+        conn_workers: cfg.conn_workers,
+        conn_backlog: cfg.conn_backlog,
+        max_body_bytes: cfg.max_body_bytes,
+        request_deadline: cfg.request_deadline,
+        idle_keepalive: cfg.idle_keepalive,
+        retry_after_s: cfg.retry_after_s,
+        backlog_full: "router connection backlog full",
+    };
     let ctx = Arc::new(Ctx {
-        cfg: cfg.clone(),
+        cfg,
         shards,
         counters: Counters::default(),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(VecDeque::new()),
-        conns_ready: Condvar::new(),
         sleeper: Mutex::new(()),
         sleeper_cv: Condvar::new(),
         rng: Mutex::new(XorShift64::new(seed)),
     });
-    let accept_thread = {
+    let front = FrontEnd::bind(&ctx.cfg.addr, front_cfg, {
         let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("router-accept".into())
-            .spawn(move || accept_loop(listener, &ctx))
-            .expect("spawn accept thread")
-    };
-    let conn_threads = (0..cfg.conn_workers.max(1))
-        .map(|i| {
-            let ctx = Arc::clone(&ctx);
-            std::thread::Builder::new()
-                .name(format!("router-conn-{i}"))
-                .spawn(move || conn_worker(&ctx))
-                .expect("spawn connection worker")
-        })
-        .collect();
+        move |ex, req| route(ex, req, &ctx)
+    })?;
     let health_threads = (0..ctx.shards.len())
         .map(|i| {
             let ctx = Arc::clone(&ctx);
@@ -272,9 +268,7 @@ pub fn serve_router(cfg: RouterConfig) -> io::Result<Router> {
         .collect();
     Ok(Router {
         ctx,
-        addr,
-        accept_thread: Some(accept_thread),
-        conn_threads,
+        front,
         health_threads,
     })
 }
@@ -282,7 +276,7 @@ pub fn serve_router(cfg: RouterConfig) -> io::Result<Router> {
 impl Router {
     /// The bound socket address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Stops the HTTP threads and health probers. Idempotent via drop.
@@ -292,14 +286,8 @@ impl Router {
 
     fn stop_threads(&mut self) {
         self.ctx.shutdown.store(true, Ordering::Release);
-        self.ctx.conns_ready.notify_all();
         self.ctx.sleeper_cv.notify_all();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.conn_threads.drain(..) {
-            let _ = t.join();
-        }
+        self.front.stop();
         for t in self.health_threads.drain(..) {
             let _ = t.join();
         }
@@ -312,144 +300,6 @@ impl Drop for Router {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn accept_loop(listener: TcpListener, ctx: &Ctx) {
-    while !ctx.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let mut conns = lock(&ctx.conns);
-                if conns.len() >= ctx.cfg.conn_backlog {
-                    drop(conns);
-                    let mut stream = stream;
-                    let _ = http::write_response(
-                        &mut stream,
-                        503,
-                        &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                        &error_body("overloaded", "router connection backlog full"),
-                        true,
-                    );
-                } else {
-                    conns.push_back(stream);
-                    drop(conns);
-                    ctx.conns_ready.notify_one();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-fn conn_worker(ctx: &Ctx) {
-    loop {
-        let stream = {
-            let mut conns = lock(&ctx.conns);
-            loop {
-                if let Some(s) = conns.pop_front() {
-                    break Some(s);
-                }
-                if ctx.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                conns = ctx
-                    .conns_ready
-                    .wait_timeout(conns, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
-            }
-        };
-        let Some(stream) = stream else { return };
-        handle_connection(Conn::new(stream), ctx);
-    }
-}
-
-/// Whether the connection survives the response.
-enum After {
-    KeepAlive,
-    Close,
-}
-
-fn handle_connection(mut conn: Conn, ctx: &Ctx) {
-    if conn
-        .stream()
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    let mut idle_deadline = Instant::now() + ctx.cfg.idle_keepalive;
-    loop {
-        match conn.read_request(ctx.cfg.max_body_bytes) {
-            Ok(req) => {
-                let want_close = req.close;
-                match route(&mut conn, &req, ctx) {
-                    After::KeepAlive if !want_close && !ctx.shutdown.load(Ordering::Acquire) => {
-                        idle_deadline = Instant::now() + ctx.cfg.idle_keepalive;
-                    }
-                    _ => return,
-                }
-            }
-            Err(RecvError::Idle) => {
-                // Past the idle deadline the connection is dropped even
-                // mid-request: a client that stalls while writing must not
-                // pin a conn worker forever.
-                if Instant::now() >= idle_deadline
-                    || (!conn.has_partial() && ctx.shutdown.load(Ordering::Acquire))
-                {
-                    return;
-                }
-            }
-            Err(RecvError::Closed) | Err(RecvError::Io(_)) => return,
-            Err(RecvError::Bad(msg)) => {
-                respond(
-                    &mut conn,
-                    ctx,
-                    400,
-                    &[],
-                    &error_body("bad_request", &msg),
-                    true,
-                );
-                return;
-            }
-            Err(RecvError::TooLarge { limit }) => {
-                respond(
-                    &mut conn,
-                    ctx,
-                    413,
-                    &[],
-                    &error_body(
-                        "payload_too_large",
-                        &format!("request body exceeds {limit} bytes"),
-                    ),
-                    true,
-                );
-                return;
-            }
-        }
-    }
-}
-
-fn respond(
-    conn: &mut Conn,
-    ctx: &Ctx,
-    status: u16,
-    extra: &[(&str, String)],
-    body: &str,
-    close: bool,
-) -> After {
-    let close = close || ctx.shutdown.load(Ordering::Acquire);
-    match http::write_response(conn.stream(), status, extra, body, close) {
-        Ok(()) if !close => After::KeepAlive,
-        _ => After::Close,
-    }
-}
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
@@ -458,22 +308,17 @@ fn num(n: f64) -> Value {
     Value::Number(n)
 }
 
-fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    if let Some(rest) = req.path.strip_prefix("/v1/models/") {
-        if let Some(name) = rest.strip_suffix("/swap") {
-            return if req.method == "POST" {
-                handle_rollout(conn, req, ctx, name)
-            } else {
-                respond(
-                    conn,
-                    ctx,
-                    405,
-                    &[("allow", "POST".into())],
-                    &error_body("method_not_allowed", "use POST"),
-                    false,
-                )
-            };
-        }
+fn route(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> After {
+    if let Some(name) = req
+        .path
+        .strip_prefix("/v1/models/")
+        .and_then(|rest| rest.strip_suffix("/swap"))
+    {
+        return if req.method == "POST" {
+            handle_rollout(ex, req, ctx, name)
+        } else {
+            ex.method_not_allowed("POST")
+        };
     }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
@@ -495,43 +340,23 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             // probe answers 200 and the body says degraded. Kubernetes-style
             // liveness kills on non-200; restarting the router would not
             // revive the shards.
-            respond(conn, ctx, 200, &[], &body, false)
+            ex.json(200, &body)
         }
         ("GET", "/fleet") => {
-            let body = serde_json::to_string(&fleet_value(ctx)).unwrap_or_default();
-            respond(conn, ctx, 200, &[], &body, false)
+            let fleet = fleet_value(ctx, &ex.http_stats());
+            ex.json(200, &serde_json::to_string(&fleet).unwrap_or_default())
         }
-        ("GET", "/v1/models") => handle_models(conn, ctx),
-        ("POST", "/v1/explain" | "/v1/classify") => handle_proxy(conn, req, ctx),
-        (_, "/healthz" | "/fleet" | "/v1/models") => respond(
-            conn,
-            ctx,
-            405,
-            &[("allow", "GET".into())],
-            &error_body("method_not_allowed", "use GET"),
-            false,
-        ),
-        (_, "/v1/explain" | "/v1/classify") => respond(
-            conn,
-            ctx,
-            405,
-            &[("allow", "POST".into())],
-            &error_body("method_not_allowed", "use POST"),
-            false,
-        ),
-        (_, path) => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &error_body("not_found", &format!("no route for {path}")),
-            false,
-        ),
+        ("GET", "/v1/models") => handle_models(ex, ctx),
+        ("POST", "/v1/explain" | "/v1/classify") => handle_proxy(ex, req, ctx),
+        (_, "/healthz" | "/fleet" | "/v1/models") => ex.method_not_allowed("GET"),
+        (_, "/v1/explain" | "/v1/classify") => ex.method_not_allowed("POST"),
+        (_, path) => ex.error(404, "not_found", &format!("no route for {path}")),
     }
 }
 
-/// The `GET /fleet` document.
-fn fleet_value(ctx: &Ctx) -> Value {
+/// The `GET /fleet` document; `http` is the front end's transport
+/// counters.
+fn fleet_value(ctx: &Ctx, http: &HttpStats) -> Value {
     let now = Instant::now();
     let mut fleet = Vec::with_capacity(ctx.shards.len());
     let mut available = 0usize;
@@ -603,6 +428,7 @@ fn fleet_value(ctx: &Ctx) -> Value {
                 ),
             ]),
         ),
+        ("http", Value::Object(wire::http_stats_fields(http))),
         ("fleet", Value::Array(fleet)),
     ])
 }
@@ -610,7 +436,7 @@ fn fleet_value(ctx: &Ctx) -> Value {
 /// `GET /v1/models`: fans out to every healthy shard and reports each
 /// shard's model list side by side (models are placed per shard, so the
 /// union view keeps the shard attribution).
-fn handle_models(conn: &mut Conn, ctx: &Ctx) -> After {
+fn handle_models(ex: &mut Exchange<'_>, ctx: &Ctx) -> After {
     let mut entries = Vec::with_capacity(ctx.shards.len());
     for s in &ctx.shards {
         if !lock(&s.health).is_up() {
@@ -648,7 +474,7 @@ fn handle_models(conn: &mut Conn, ctx: &Ctx) -> After {
     }
     let body =
         serde_json::to_string(&obj(vec![("shards", Value::Array(entries))])).unwrap_or_default();
-    respond(conn, ctx, 200, &[], &body, false)
+    ex.json(200, &body)
 }
 
 /// The replica candidates able to take a request right now, ordered by
@@ -738,30 +564,15 @@ fn pool_back(shard: &ShardState, client: HttpClient, resp: &HttpResponse) {
 
 /// `POST /v1/explain` / `POST /v1/classify`: proxy with load-aware
 /// replica choice, bounded retry, backoff and failover.
-fn handle_proxy(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
+fn handle_proxy(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> After {
     ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return respond(
-            conn,
-            ctx,
-            400,
-            &[],
-            &error_body("bad_json", "request body is not UTF-8"),
-            false,
-        );
+    let text = match ex.body_text(req) {
+        Ok(text) => text,
+        Err(after) => return after,
     };
-    let value = match serde_json::parse(text) {
+    let value = match ex.parse_json(text) {
         Ok(v) => v,
-        Err(e) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &error_body("bad_json", &e.to_string()),
-                false,
-            )
-        }
+        Err(after) => return after,
     };
     // The hash key: the named model, or the fleet-wide "default" entry
     // (the same fallback each shard's registry applies).
@@ -813,7 +624,7 @@ fn handle_proxy(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
                         .retry_after
                         .map(|v| vec![("retry-after", v.to_string())])
                         .unwrap_or_default();
-                    return respond(conn, ctx, resp.status, &extra, &resp.body, false);
+                    return ex.respond(resp.status, &extra, &resp.body, false);
                 }
                 Ok(resp) => {
                     let why = format!("upstream status {}", resp.status);
@@ -853,14 +664,7 @@ fn handle_proxy(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             format!("every replica of {model:?} is down or circuit-broken"),
         ),
     };
-    respond(
-        conn,
-        ctx,
-        503,
-        &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-        &error_body(code, &detail),
-        false,
-    )
+    ex.unavailable(code, &detail)
 }
 
 /// `POST /v1/models/{name}/swap` at the router: a fleet-wide rolling
@@ -868,44 +672,13 @@ fn handle_proxy(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
 /// shard at a time; the first failing shard aborts the rollout (the
 /// remaining replicas keep the old version, which is the safe state) and
 /// the response reports exactly what happened on each shard.
-fn handle_rollout(conn: &mut Conn, req: &Request, ctx: &Ctx, name: &str) -> After {
-    if let Some(expected) = ctx.cfg.admin_token.as_deref() {
-        match req.header("x-admin-token") {
-            None => {
-                return respond(
-                    conn,
-                    ctx,
-                    401,
-                    &[],
-                    &error_body(
-                        "unauthorized",
-                        "this operator endpoint requires the X-Admin-Token header",
-                    ),
-                    false,
-                )
-            }
-            Some(got) if !constant_time_eq(got.as_bytes(), expected.as_bytes()) => {
-                return respond(
-                    conn,
-                    ctx,
-                    403,
-                    &[],
-                    &error_body("forbidden", "X-Admin-Token does not match"),
-                    false,
-                )
-            }
-            Some(_) => {}
-        }
+fn handle_rollout(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx, name: &str) -> After {
+    if let Err(after) = ex.require_admin(req, ctx.cfg.admin_token.as_deref()) {
+        return after;
     }
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return respond(
-            conn,
-            ctx,
-            400,
-            &[],
-            &error_body("bad_json", "request body is not UTF-8"),
-            false,
-        );
+    let text = match ex.body_text(req) {
+        Ok(text) => text,
+        Err(after) => return after,
     };
     let token = req.header("x-admin-token");
     let order = placement::placement(name, &ctx.cfg.shards, ctx.cfg.replicas);
@@ -976,7 +749,7 @@ fn handle_rollout(conn: &mut Conn, req: &Request, ctx: &Ctx, name: &str) -> Afte
                 ("shards", Value::Array(reports)),
             ]))
             .unwrap_or_default();
-            return respond(conn, ctx, 502, &[], &body, false);
+            return ex.json(502, &body);
         }
     }
     ctx.counters.rollouts.fetch_add(1, Ordering::Relaxed);
@@ -986,16 +759,7 @@ fn handle_rollout(conn: &mut Conn, req: &Request, ctx: &Ctx, name: &str) -> Afte
         ("shards", Value::Array(reports)),
     ]))
     .unwrap_or_default();
-    respond(conn, ctx, 200, &[], &body, false)
-}
-
-/// Length-leaking but content-constant-time comparison for the admin
-/// token (same contract as the shard-side gate).
-fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
+    ex.json(200, &body)
 }
 
 /// One shard's health-prober loop.

@@ -41,10 +41,13 @@
 //! under the name `"default"`; [`serve_registry`] fronts a shared,
 //! multi-model registry.
 //!
-//! Architecture: one **accept thread** pushes connections into a bounded
-//! backlog; a pool of **connection workers** parses requests (keep-alive,
-//! `Content-Length` framing, body-size cap) and submits them through the
-//! resolved model's [`ServiceHandle`]. Queue backpressure surfaces as
+//! Architecture: the [`http::FrontEnd`] (shared with the `dcam-router`
+//! tier) runs one **accept thread** feeding a bounded backlog and a pool
+//! of **connection workers** that parse requests (keep-alive,
+//! `Content-Length` framing, body-size cap); this crate's route function
+//! submits them through the resolved model's [`ServiceHandle`], and the
+//! `/v1/eval` and `/v1/analyze` job kinds share one job route. Queue
+//! backpressure surfaces as
 //! HTTP 503 with a `Retry-After` header, per-request deadlines as 504,
 //! malformed payloads as structured 400 bodies. A client that disconnects
 //! mid-request **cancels** its explanation (the service skips the cube
@@ -83,29 +86,31 @@ pub use client::{
 
 use dcam::arch::GapClassifier;
 use dcam::occlusion::occlusion_spans;
-use dcam::registry::{ModelRegistry, RegistryError};
+use dcam::registry::{ModelInfo, ModelRegistry, RegistryError};
 use dcam::service::{
     Backpressure, RequestOptions, ResponseFuture, ServiceConfig, ServiceError, ServiceHandle,
     ServiceStats,
 };
 use dcam::DcamService;
-use dcam_analyze::{mine_motifs, MotifReport};
-use dcam_eval::{run_harness, EvalReport, ExplainerKind, ServiceBackend};
+use dcam_analyze::{mine_motifs, AnalyzeConfig, MotifReport};
+use dcam_eval::{
+    run_harness, EvalBackend, EvalReport, ExplainerKind, HarnessConfig, ServiceBackend,
+};
 use dcam_series::MultivariateSeries;
-use http::{Conn, RecvError, Request};
+use http::{After, Exchange, FrontEnd, FrontEndConfig, HttpStats, Request};
 use jobs::{JobStatus, JobStore};
 use serde::Value;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use wire::JobRequest;
 
 /// Test- and drill-only fault injection switches for one server. Shared
 /// by handle ([`ServerConfig::faults`] is an `Arc`), so a chaos test can
@@ -228,54 +233,39 @@ pub struct ServerStats {
     pub disconnect_cancels: u64,
 }
 
+/// The shard's own counters; the transport's live in its [`FrontEnd`].
 #[derive(Default)]
 struct Counters {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    requests: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
     backpressure_503: AtomicU64,
     deadline_504: AtomicU64,
     disconnect_cancels: AtomicU64,
 }
 
 impl Counters {
-    fn snapshot(&self) -> ServerStats {
+    fn snapshot(&self, http: HttpStats) -> ServerStats {
         ServerStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            responses_2xx: self.responses_2xx.load(Ordering::Relaxed),
-            responses_4xx: self.responses_4xx.load(Ordering::Relaxed),
-            responses_5xx: self.responses_5xx.load(Ordering::Relaxed),
+            connections_accepted: http.connections_accepted,
+            connections_rejected: http.connections_rejected,
+            requests: http.requests,
+            responses_2xx: http.responses_2xx,
+            responses_4xx: http.responses_4xx,
+            responses_5xx: http.responses_5xx,
             backpressure_503: self.backpressure_503.load(Ordering::Relaxed),
             deadline_504: self.deadline_504.load(Ordering::Relaxed),
             disconnect_cancels: self.disconnect_cancels.load(Ordering::Relaxed),
         }
     }
-
-    fn count_status(&self, status: u16) {
-        match status {
-            200..=299 => &self.responses_2xx,
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
 }
 
-/// State shared by the accept thread and the connection workers.
+/// State shared by the route function and the job runners.
 struct Ctx {
     registry: Arc<ModelRegistry>,
     cfg: ServerConfig,
     counters: Counters,
+    /// Stops the job runners.
     shutdown: AtomicBool,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_ready: Condvar,
-    eval: JobStore<wire::EvalRequest, EvalReport>,
-    analyze: JobStore<wire::AnalyzeRequest, MotifReport>,
+    eval: JobRoute<HarnessConfig, EvalReport>,
+    analyze: JobRoute<AnalyzeConfig, MotifReport>,
 }
 
 impl Ctx {
@@ -299,11 +289,8 @@ impl Ctx {
 /// the last `Arc` then drains the wrapped service anyway.)
 pub struct DcamServer {
     ctx: Arc<Ctx>,
-    addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Vec<JoinHandle<()>>,
-    eval_thread: Option<JoinHandle<()>>,
-    analyze_thread: Option<JoinHandle<()>>,
+    front: FrontEnd,
+    runners: Vec<JoinHandle<()>>,
     draining: bool,
 }
 
@@ -329,65 +316,47 @@ pub fn serve(service: DcamService, cfg: ServerConfig) -> io::Result<DcamServer> 
 /// registered, swapped and unregistered while the server runs, and the
 /// HTTP swap endpoint drives the same registry.
 pub fn serve_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> io::Result<DcamServer> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let eval = JobStore::new(cfg.eval_capacity);
-    let analyze = JobStore::new(cfg.analyze_capacity);
+    let eval = JobRoute::new(EVAL, cfg.eval_capacity);
+    let analyze = JobRoute::new(ANALYZE, cfg.analyze_capacity);
     if let Some(dir) = cfg.jobs_dir.as_deref() {
         // A bad jobs directory should fail boot loudly, not surface as
         // silently non-durable reports later.
         std::fs::create_dir_all(dir)?;
-        eval.reserve_through(max_persisted_id(dir, "eval"));
-        analyze.reserve_through(max_persisted_id(dir, "analyze"));
+        eval.jobs.reserve_through(max_persisted_id(dir, EVAL.name));
+        analyze
+            .jobs
+            .reserve_through(max_persisted_id(dir, ANALYZE.name));
     }
+    let front_cfg = FrontEndConfig {
+        name: "dcam",
+        conn_workers: cfg.conn_workers,
+        conn_backlog: cfg.conn_backlog,
+        max_body_bytes: cfg.max_body_bytes,
+        request_deadline: cfg.request_deadline,
+        idle_keepalive: cfg.idle_keepalive,
+        retry_after_s: cfg.retry_after_s,
+        backlog_full: "connection backlog full",
+    };
     let ctx = Arc::new(Ctx {
         registry,
-        cfg: cfg.clone(),
+        cfg,
         counters: Counters::default(),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(VecDeque::new()),
-        conns_ready: Condvar::new(),
         eval,
         analyze,
     });
-    let eval_thread = {
+    let front = FrontEnd::bind(&ctx.cfg.addr, front_cfg, {
         let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("dcam-eval-runner".into())
-            .spawn(move || eval_runner(&ctx))
-            .expect("spawn eval runner thread")
-    };
-    let analyze_thread = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("dcam-analyze-runner".into())
-            .spawn(move || analyze_runner(&ctx))
-            .expect("spawn analyze runner thread")
-    };
-    let accept_thread = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("dcam-accept".into())
-            .spawn(move || accept_loop(listener, &ctx))
-            .expect("spawn accept thread")
-    };
-    let conn_threads = (0..cfg.conn_workers.max(1))
-        .map(|i| {
-            let ctx = Arc::clone(&ctx);
-            std::thread::Builder::new()
-                .name(format!("dcam-conn-{i}"))
-                .spawn(move || conn_worker(&ctx))
-                .expect("spawn connection worker")
-        })
-        .collect();
+        move |ex, req| route(ex, req, &ctx)
+    })?;
+    let runners = vec![
+        spawn_runner(&ctx, |ctx| &ctx.eval),
+        spawn_runner(&ctx, |ctx| &ctx.analyze),
+    ];
     Ok(DcamServer {
         ctx,
-        addr,
-        accept_thread: Some(accept_thread),
-        conn_threads,
-        eval_thread: Some(eval_thread),
-        analyze_thread: Some(analyze_thread),
+        front,
+        runners,
         draining: false,
     })
 }
@@ -395,7 +364,7 @@ pub fn serve_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> io::Re
 impl DcamServer {
     /// The bound socket address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The model registry this server routes into.
@@ -405,7 +374,7 @@ impl DcamServer {
 
     /// Server-level counters.
     pub fn server_stats(&self) -> ServerStats {
-        self.ctx.counters.snapshot()
+        self.ctx.counters.snapshot(self.front.stats())
     }
 
     /// Aggregate service-level counters across every registered model
@@ -431,28 +400,17 @@ impl DcamServer {
                 None => stats = Some(s),
             }
         }
-        (
-            models,
-            stats.unwrap_or_default(),
-            self.ctx.counters.snapshot(),
-        )
+        (models, stats.unwrap_or_default(), self.server_stats())
     }
 
     fn stop_threads(&mut self) {
+        // Jobs first: a running job bails at its next stage boundary
+        // instead of competing with the requests being drained.
         self.ctx.shutdown.store(true, Ordering::Release);
-        self.ctx.conns_ready.notify_all();
-        self.ctx.eval.notify_shutdown();
-        self.ctx.analyze.notify_shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.conn_threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(t) = self.eval_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.analyze_thread.take() {
+        self.ctx.eval.jobs.notify_shutdown();
+        self.ctx.analyze.jobs.notify_shutdown();
+        self.front.stop();
+        for t in self.runners.drain(..) {
             let _ = t.join();
         }
     }
@@ -470,306 +428,43 @@ impl Drop for DcamServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, ctx: &Ctx) {
-    while !ctx.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                ctx.counters
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                let mut conns = lock(&ctx.conns);
-                if conns.len() >= ctx.cfg.conn_backlog {
-                    drop(conns);
-                    ctx.counters
-                        .connections_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    // Answer on the accept thread: every connection worker
-                    // is busy, so nobody else will.
-                    let mut stream = stream;
-                    let _ = http::write_response(
-                        &mut stream,
-                        503,
-                        &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                        &wire::error_body("overloaded", "connection backlog full"),
-                        true,
-                    );
-                } else {
-                    conns.push_back(stream);
-                    drop(conns);
-                    ctx.conns_ready.notify_one();
-                }
-            }
-            // Non-blocking accept: sleep briefly so shutdown stays
-            // responsive without spinning a core.
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn conn_worker(ctx: &Ctx) {
-    loop {
-        let stream = {
-            let mut conns = lock(&ctx.conns);
-            loop {
-                if let Some(s) = conns.pop_front() {
-                    break Some(s);
-                }
-                // Drain semantics: accepted connections are served even
-                // after shutdown starts; only an *empty* backlog lets a
-                // worker exit.
-                if ctx.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                conns = ctx
-                    .conns_ready
-                    .wait_timeout(conns, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
-            }
-        };
-        let Some(stream) = stream else { return };
-        handle_connection(Conn::new(stream), ctx);
-    }
-}
-
-/// Whether the connection survives the response.
-enum After {
-    KeepAlive,
-    Close,
-}
-
-fn handle_connection(mut conn: Conn, ctx: &Ctx) {
-    // Short read timeout so the parse loop can poll the shutdown flag and
-    // the idle deadline between reads.
-    if conn
-        .stream()
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    let mut idle_deadline = Instant::now() + ctx.cfg.idle_keepalive;
-    // Set once the first bytes of a request are in: a slow upload is
-    // bounded by the request deadline (then 408), never by the shorter
-    // idle-keep-alive deadline.
-    let mut receive_deadline: Option<Instant> = None;
-    loop {
-        match conn.read_request(ctx.cfg.max_body_bytes) {
-            Ok(req) => {
-                receive_deadline = None;
-                ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
-                let want_close = req.close;
-                match route(&mut conn, &req, ctx) {
-                    After::KeepAlive if !want_close && !ctx.shutdown.load(Ordering::Acquire) => {
-                        idle_deadline = Instant::now() + ctx.cfg.idle_keepalive;
-                    }
-                    _ => return,
-                }
-            }
-            Err(RecvError::Idle) => {
-                if conn.has_partial() {
-                    let deadline = *receive_deadline
-                        .get_or_insert_with(|| Instant::now() + ctx.cfg.request_deadline);
-                    if Instant::now() >= deadline {
-                        respond(
-                            &mut conn,
-                            ctx,
-                            408,
-                            &[],
-                            &wire::error_body(
-                                "request_timeout",
-                                "request not received within the deadline",
-                            ),
-                            true,
-                        );
-                        return;
-                    }
-                } else {
-                    receive_deadline = None;
-                    if ctx.shutdown.load(Ordering::Acquire) || Instant::now() >= idle_deadline {
-                        return;
-                    }
-                }
-            }
-            Err(RecvError::Closed) | Err(RecvError::Io(_)) => return,
-            Err(RecvError::Bad(msg)) => {
-                respond(
-                    &mut conn,
-                    ctx,
-                    400,
-                    &[],
-                    &wire::error_body("bad_request", &msg),
-                    true,
-                );
-                return;
-            }
-            Err(RecvError::TooLarge { limit }) => {
-                respond(
-                    &mut conn,
-                    ctx,
-                    413,
-                    &[],
-                    &wire::error_body(
-                        "payload_too_large",
-                        &format!("request body exceeds {limit} bytes"),
-                    ),
-                    true,
-                );
-                return;
-            }
-        }
-    }
-}
-
-/// Writes a response and tallies it. `close` is sticky during shutdown so
-/// drained keep-alive clients are told to go away.
-fn respond(
-    conn: &mut Conn,
-    ctx: &Ctx,
-    status: u16,
-    extra: &[(&str, String)],
-    body: &str,
-    close: bool,
-) -> After {
-    let close = close || ctx.shutdown.load(Ordering::Acquire);
-    ctx.counters.count_status(status);
-    match http::write_response(conn.stream(), status, extra, body, close) {
-        Ok(()) if !close => After::KeepAlive,
-        _ => After::Close,
-    }
-}
-
-fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
+fn route(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> After {
     // Fault injection: a stalled shard stalls on *every* route, before any
     // of them get to answer.
-    let stall = ctx.cfg.faults.stall_ms.load(Ordering::Relaxed);
+    let faults = &ctx.cfg.faults;
+    let stall = faults.stall_ms.load(Ordering::Relaxed);
     if stall > 0 {
         std::thread::sleep(Duration::from_millis(stall));
     }
-    if ctx.cfg.faults.fail_healthz.load(Ordering::Relaxed) && req.path == "/healthz" {
-        return respond(
-            conn,
-            ctx,
-            500,
-            &[],
-            &wire::error_body("unhealthy", "health check failing (injected fault)"),
-            false,
-        );
+    if faults.fail_healthz.load(Ordering::Relaxed) && req.path == "/healthz" {
+        return ex.error(500, "unhealthy", "health check failing (injected fault)");
     }
-    if ctx.cfg.faults.fail_requests.load(Ordering::Relaxed)
+    if faults.fail_requests.load(Ordering::Relaxed)
         && matches!(req.path.as_str(), "/v1/explain" | "/v1/classify")
     {
-        return respond(
-            conn,
-            ctx,
+        return ex.error(
             500,
-            &[],
-            &wire::error_body("injected_failure", "request path failing (injected fault)"),
-            false,
+            "injected_failure",
+            "request path failing (injected fault)",
         );
     }
-    // Eval-job routes: `/v1/eval` and `/v1/eval/{id}`.
-    if let Some(rest) = req.path.strip_prefix("/v1/eval/") {
-        let Ok(id) = rest.parse::<u64>() else {
-            return respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no eval job \"{rest}\"")),
-                false,
-            );
-        };
-        return match req.method.as_str() {
-            "GET" => handle_eval_status(conn, ctx, id),
-            "DELETE" => handle_eval_cancel(conn, ctx, id),
-            _ => respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "GET, DELETE".into())],
-                &wire::error_body("method_not_allowed", "use GET or DELETE"),
-                false,
-            ),
-        };
+    if let Some(after) = ctx.eval.route(ex, req, ctx) {
+        return after;
     }
-    if req.path == "/v1/eval" {
-        return if req.method == "POST" {
-            handle_eval_submit(conn, req, ctx)
-        } else {
-            respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "POST".into())],
-                &wire::error_body("method_not_allowed", "use POST"),
-                false,
-            )
-        };
-    }
-    // Analyze-job routes: `/v1/analyze` and `/v1/analyze/{id}`.
-    if let Some(rest) = req.path.strip_prefix("/v1/analyze/") {
-        let Ok(id) = rest.parse::<u64>() else {
-            return respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no analyze job \"{rest}\"")),
-                false,
-            );
-        };
-        return match req.method.as_str() {
-            "GET" => handle_analyze_status(conn, ctx, id),
-            "DELETE" => handle_analyze_cancel(conn, ctx, id),
-            _ => respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "GET, DELETE".into())],
-                &wire::error_body("method_not_allowed", "use GET or DELETE"),
-                false,
-            ),
-        };
-    }
-    if req.path == "/v1/analyze" {
-        return if req.method == "POST" {
-            handle_analyze_submit(conn, req, ctx)
-        } else {
-            respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "POST".into())],
-                &wire::error_body("method_not_allowed", "use POST"),
-                false,
-            )
-        };
+    if let Some(after) = ctx.analyze.route(ex, req, ctx) {
+        return after;
     }
     // Model-admin routes: `/v1/models/{name}/swap`.
-    if let Some(rest) = req.path.strip_prefix("/v1/models/") {
-        if let Some(name) = rest.strip_suffix("/swap") {
-            return if req.method == "POST" {
-                handle_swap(conn, req, ctx, name)
-            } else {
-                respond(
-                    conn,
-                    ctx,
-                    405,
-                    &[("allow", "POST".into())],
-                    &wire::error_body("method_not_allowed", "use POST"),
-                    false,
-                )
-            };
-        }
+    if let Some(name) = req
+        .path
+        .strip_prefix("/v1/models/")
+        .and_then(|rest| rest.strip_suffix("/swap"))
+    {
+        return if req.method == "POST" {
+            handle_swap(ex, req, ctx, name)
+        } else {
+            ex.method_not_allowed("POST")
+        };
     }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
@@ -788,128 +483,52 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
                 ),
             ]))
             .unwrap_or_default();
-            respond(conn, ctx, 200, &[], &body, false)
+            ex.json(200, &body)
         }
-        ("GET", "/v1/models") => {
-            let body = wire::models_body(&ctx.registry.list());
-            respond(conn, ctx, 200, &[], &body, false)
-        }
+        ("GET", "/v1/models") => ex.json(200, &wire::models_body(&ctx.registry.list())),
         ("GET", "/stats") => {
-            let service = wire::service_stats_value(&ctx.aggregate_stats());
-            let s = ctx.counters.snapshot();
-            let server = Value::Object(vec![
-                (
-                    "connections_accepted".into(),
-                    Value::Number(s.connections_accepted as f64),
-                ),
-                (
-                    "connections_rejected".into(),
-                    Value::Number(s.connections_rejected as f64),
-                ),
-                ("requests".into(), Value::Number(s.requests as f64)),
-                (
-                    "responses_2xx".into(),
-                    Value::Number(s.responses_2xx as f64),
-                ),
-                (
-                    "responses_4xx".into(),
-                    Value::Number(s.responses_4xx as f64),
-                ),
-                (
-                    "responses_5xx".into(),
-                    Value::Number(s.responses_5xx as f64),
-                ),
-                (
-                    "backpressure_503".into(),
-                    Value::Number(s.backpressure_503 as f64),
-                ),
-                ("deadline_504".into(), Value::Number(s.deadline_504 as f64)),
-                (
-                    "disconnect_cancels".into(),
-                    Value::Number(s.disconnect_cancels as f64),
-                ),
-            ]);
+            let c = &ctx.counters;
+            let mut server = wire::http_stats_fields(&ex.http_stats());
+            for (name, counter) in [
+                ("backpressure_503", &c.backpressure_503),
+                ("deadline_504", &c.deadline_504),
+                ("disconnect_cancels", &c.disconnect_cancels),
+            ] {
+                let n = counter.load(Ordering::Relaxed) as f64;
+                server.push((name.into(), Value::Number(n)));
+            }
             let jobs = Value::Object(vec![
-                (
-                    "eval".into(),
-                    wire::job_counters_value(&ctx.eval.counters()),
-                ),
-                (
-                    "analyze".into(),
-                    wire::job_counters_value(&ctx.analyze.counters()),
-                ),
+                ("eval".into(), ctx.eval.counters_value()),
+                ("analyze".into(), ctx.analyze.counters_value()),
             ]);
             let body = serde_json::to_string(&Value::Object(vec![
-                ("service".into(), service),
-                ("server".into(), server),
+                (
+                    "service".into(),
+                    wire::service_stats_value(&ctx.aggregate_stats()),
+                ),
+                ("server".into(), Value::Object(server)),
                 ("jobs".into(), jobs),
             ]))
             .unwrap_or_default();
-            respond(conn, ctx, 200, &[], &body, false)
+            ex.json(200, &body)
         }
-        ("POST", "/v1/explain") => handle_explain(conn, req, ctx),
-        ("POST", "/v1/classify") => handle_classify(conn, req, ctx),
-        (_, "/healthz" | "/stats" | "/v1/models") => respond(
-            conn,
-            ctx,
-            405,
-            &[("allow", "GET".into())],
-            &wire::error_body("method_not_allowed", "use GET"),
-            false,
-        ),
-        (_, "/v1/explain" | "/v1/classify") => respond(
-            conn,
-            ctx,
-            405,
-            &[("allow", "POST".into())],
-            &wire::error_body("method_not_allowed", "use POST"),
-            false,
-        ),
-        (_, path) => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &wire::error_body("not_found", &format!("no route for {path}")),
-            false,
-        ),
+        ("POST", "/v1/explain") => handle_explain(ex, req, ctx),
+        ("POST", "/v1/classify") => handle_classify(ex, req, ctx),
+        (_, "/healthz" | "/stats" | "/v1/models") => ex.method_not_allowed("GET"),
+        (_, "/v1/explain" | "/v1/classify") => ex.method_not_allowed("POST"),
+        (_, path) => ex.error(404, "not_found", &format!("no route for {path}")),
     }
 }
 
-fn parse_json_body(conn: &mut Conn, req: &Request, ctx: &Ctx) -> Result<Value, After> {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => {
-            return Err(respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_json", "request body is not UTF-8"),
-                false,
-            ))
-        }
-    };
-    match serde_json::parse(text) {
-        Ok(v) => Ok(v),
-        Err(e) => Err(respond(
-            conn,
-            ctx,
-            400,
-            &[],
-            &wire::error_body("bad_json", &e.to_string()),
-            false,
-        )),
-    }
-}
-
-/// Length-leaking but content-constant-time byte comparison: enough to
-/// stop a byte-at-a-time timing oracle on the admin token.
-fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
+/// The request body decoded by a `wire::parse_*` function; a body that is
+/// not JSON, or not the shape `parse` wants, is a structured 400.
+fn parse_body<T>(
+    ex: &mut Exchange<'_>,
+    req: &Request,
+    parse: fn(&Value) -> Result<T, String>,
+) -> Result<T, After> {
+    let value = ex.body_json(req)?;
+    parse(&value).map_err(|msg| ex.error(400, "bad_request", &msg))
 }
 
 fn tenant_key(tenant: &str) -> u64 {
@@ -919,47 +538,28 @@ fn tenant_key(tenant: &str) -> u64 {
 }
 
 /// Maps a submit-time [`ServiceError`] onto an HTTP response.
-fn respond_submit_error(conn: &mut Conn, ctx: &Ctx, err: ServiceError) -> After {
-    match err {
-        ServiceError::ShapeMismatch { .. } => {
-            let body = wire::error_body("shape_mismatch", &err.to_string());
-            respond(conn, ctx, 400, &[], &body, false)
-        }
-        ServiceError::EmptySeries => {
-            let body = wire::error_body("empty_series", &err.to_string());
-            respond(conn, ctx, 400, &[], &body, false)
-        }
-        ServiceError::InvalidClass { .. } => {
-            let body = wire::error_body("invalid_class", &err.to_string());
-            respond(conn, ctx, 400, &[], &body, false)
-        }
+fn respond_submit_error(ex: &mut Exchange<'_>, ctx: &Ctx, err: ServiceError) -> After {
+    let code = match err {
+        ServiceError::ShapeMismatch { .. } => "shape_mismatch",
+        ServiceError::EmptySeries => "empty_series",
+        ServiceError::InvalidClass { .. } => "invalid_class",
         ServiceError::QueueFull { .. } | ServiceError::SubmitTimeout { .. } => {
             ctx.counters
                 .backpressure_503
                 .fetch_add(1, Ordering::Relaxed);
-            let body = wire::error_body("overloaded", &err.to_string());
-            respond(
-                conn,
-                ctx,
-                503,
-                &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                &body,
-                false,
-            )
+            return ex.unavailable("overloaded", &err.to_string());
         }
         ServiceError::ShuttingDown => {
             let body = wire::error_body("shutting_down", &err.to_string());
-            respond(conn, ctx, 503, &[], &body, true)
+            return ex.respond(503, &[], &body, true);
         }
-        other => {
-            let body = wire::error_body("internal", &other.to_string());
-            respond(conn, ctx, 500, &[], &body, false)
-        }
-    }
+        other => return ex.error(500, "internal", &other.to_string()),
+    };
+    ex.error(400, code, &err.to_string())
 }
 
 /// Maps a [`RegistryError`] onto an HTTP response.
-fn respond_registry_error(conn: &mut Conn, ctx: &Ctx, err: RegistryError) -> After {
+fn respond_registry_error(ex: &mut Exchange<'_>, err: RegistryError) -> After {
     let (status, code) = match &err {
         RegistryError::UnknownModel { .. } => (404, "model_not_found"),
         RegistryError::InvalidName { .. } => (400, "invalid_model"),
@@ -968,25 +568,33 @@ fn respond_registry_error(conn: &mut Conn, ctx: &Ctx, err: RegistryError) -> Aft
         RegistryError::GeometryMismatch { .. } => (409, "geometry_mismatch"),
         RegistryError::Checkpoint(_) => (422, "bad_checkpoint"),
     };
-    let body = wire::error_body(code, &err.to_string());
-    respond(conn, ctx, status, &[], &body, false)
+    ex.error(status, code, &err.to_string())
+}
+
+/// The server's deadline bound on a submission handle: a `Block`
+/// backpressure policy would park a connection worker (or a job runner)
+/// on a full queue with no deadline and no disconnect detection, so it is
+/// rebound to a timeout. (In-process submitters keep whatever policy the
+/// service was configured with — this only rebinds the server's handle.)
+fn bounded(handle: ServiceHandle, ctx: &Ctx) -> ServiceHandle {
+    match handle.backpressure() {
+        Backpressure::Block => {
+            handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
+        }
+        _ => handle,
+    }
 }
 
 /// Resolves the model a request names (or the registry's default) into a
-/// submission handle, with the server's deadline bound applied: a `Block`
-/// backpressure policy would park a connection worker on a full queue with
-/// no deadline and no disconnect detection, so it is rebound to a timeout.
-/// (In-process submitters keep whatever policy the service was configured
-/// with — this only rebinds the transport's per-request handle.)
-fn resolve_handle(conn: &mut Conn, ctx: &Ctx, model: Option<&str>) -> Result<ServiceHandle, After> {
+/// [`bounded`] submission handle.
+fn resolve_handle(
+    ex: &mut Exchange<'_>,
+    ctx: &Ctx,
+    model: Option<&str>,
+) -> Result<ServiceHandle, After> {
     match ctx.registry.resolve(model) {
-        Ok((_, handle)) => Ok(match handle.backpressure() {
-            Backpressure::Block => {
-                handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
-            }
-            _ => handle,
-        }),
-        Err(e) => Err(respond_registry_error(conn, ctx, e)),
+        Ok((_, handle)) => Ok(bounded(handle, ctx)),
+        Err(e) => Err(respond_registry_error(ex, e)),
     }
 }
 
@@ -994,149 +602,97 @@ fn resolve_handle(conn: &mut Conn, ctx: &Ctx, model: Option<&str>) -> Result<Ser
 /// checkpoint at the path given in the body. The swap happens on this
 /// connection worker's thread — other connections (and every other model)
 /// keep being served by the remaining workers meanwhile.
-fn handle_swap(conn: &mut Conn, req: &Request, ctx: &Ctx, name: &str) -> After {
+fn handle_swap(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx, name: &str) -> After {
     // Operator gate: swap loads server-side files, so when an admin token
     // is configured the request must present it before anything is parsed.
-    if let Some(expected) = ctx.cfg.admin_token.as_deref() {
-        match req.header("x-admin-token") {
-            None => {
-                return respond(
-                    conn,
-                    ctx,
-                    401,
-                    &[],
-                    &wire::error_body(
-                        "unauthorized",
-                        "this operator endpoint requires the X-Admin-Token header",
-                    ),
-                    false,
-                )
-            }
-            Some(got) if !constant_time_eq(got.as_bytes(), expected.as_bytes()) => {
-                return respond(
-                    conn,
-                    ctx,
-                    403,
-                    &[],
-                    &wire::error_body("forbidden", "X-Admin-Token does not match"),
-                    false,
-                )
-            }
-            Some(_) => {}
-        }
+    if let Err(after) = ex.require_admin(req, ctx.cfg.admin_token.as_deref()) {
+        return after;
     }
     if ctx.cfg.faults.fail_swap.load(Ordering::Relaxed) {
-        return respond(
-            conn,
-            ctx,
-            500,
-            &[],
-            &wire::error_body("injected_failure", "swap failing (injected fault)"),
-            false,
-        );
+        return ex.error(500, "injected_failure", "swap failing (injected fault)");
     }
-    let value = match parse_json_body(conn, req, ctx) {
+    let value = match ex.body_json(req) {
         Ok(v) => v,
         Err(after) => return after,
     };
     let Some(path) = value.get("path").and_then(Value::as_str) else {
-        return respond(
-            conn,
-            ctx,
-            400,
-            &[],
-            &wire::error_body("bad_request", "missing string field \"path\""),
-            false,
-        );
+        return ex.error(400, "bad_request", "missing string field \"path\"");
     };
     if let Err(e) = dcam::registry::validate_model_name(name) {
-        return respond_registry_error(conn, ctx, e);
+        return respond_registry_error(ex, e);
     }
     match ctx.registry.swap(name, path) {
-        Ok(outcome) => {
-            let body = wire::swap_body(name, outcome.version, &outcome.old_stats);
-            respond(conn, ctx, 200, &[], &body, false)
-        }
-        Err(e) => respond_registry_error(conn, ctx, e),
+        Ok(outcome) => ex.json(
+            200,
+            &wire::swap_body(name, outcome.version, &outcome.old_stats),
+        ),
+        Err(e) => respond_registry_error(ex, e),
     }
 }
 
-/// Outcome of awaiting a service future while watching the connection.
-enum Awaited<T> {
-    Done(Result<T, ServiceError>),
-    /// The client hung up; the future was dropped (cancelling the work)
-    /// and no response must be written.
-    Disconnected,
-    /// The per-request deadline passed; the future was dropped.
-    DeadlineExceeded,
-}
-
-/// Waits for the worker's answer while polling the socket for an early
-/// client disconnect, and enforcing the per-request deadline. Dropping
-/// the future on either exit path marks the request cancelled, which the
-/// service's workers observe before doing the cube build.
+/// Waits for the worker's answer and writes it (`render` builds the 200
+/// body), while polling the socket for an early client disconnect and
+/// enforcing the per-request deadline. Returning on either of those drops
+/// the future, which marks the request cancelled — the service's workers
+/// observe that before doing the cube build.
 ///
 /// The answer is polled every 5 ms (pure futex wait — cheap and it bounds
 /// added response latency); the disconnect probe costs three syscalls, so
 /// it runs on a coarser interval — a hang-up is only worth noticing at
 /// the timescale of the engine work it would cancel.
-fn await_future<T>(conn: &mut Conn, ctx: &Ctx, future: ResponseFuture<T>) -> Awaited<T> {
+fn answer<T>(
+    ex: &mut Exchange<'_>,
+    ctx: &Ctx,
+    future: ResponseFuture<T>,
+    render: impl FnOnce(&T) -> String,
+) -> After {
     const PROBE_EVERY: Duration = Duration::from_millis(50);
     let deadline = Instant::now() + ctx.cfg.request_deadline;
     let mut next_probe = Instant::now() + PROBE_EVERY;
     loop {
-        if let Some(result) = future.wait_timeout(Duration::from_millis(5)) {
-            return Awaited::Done(result);
+        match future.wait_timeout(Duration::from_millis(5)) {
+            Some(Ok(value)) => return ex.json(200, &render(&value)),
+            Some(Err(ServiceError::OnlyCorrectMiss { .. })) => {
+                return ex.error(
+                    422,
+                    "only_correct_miss",
+                    "no permutation was classified as the target class",
+                )
+            }
+            Some(Err(e)) => return ex.error(500, "worker_lost", &e.to_string()),
+            None => {}
         }
         let now = Instant::now();
         if now >= next_probe {
-            if conn.peer_closed() {
+            if ex.conn().peer_closed() {
                 ctx.counters
                     .disconnect_cancels
                     .fetch_add(1, Ordering::Relaxed);
-                return Awaited::Disconnected;
+                return After::Close;
             }
             next_probe = now + PROBE_EVERY;
         }
         if now >= deadline {
             ctx.counters.deadline_504.fetch_add(1, Ordering::Relaxed);
-            return Awaited::DeadlineExceeded;
+            let body = wire::error_body("deadline_exceeded", "request deadline exceeded");
+            return ex.respond(504, &[], &body, true);
         }
     }
 }
 
-fn handle_explain(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
+fn handle_explain(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> After {
+    let parsed = match parse_body(ex, req, wire::parse_explain) {
+        Ok(p) => p,
         Err(after) => return after,
     };
-    let parsed = match wire::parse_explain(&value) {
-        Ok(p) => p,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
-    };
     if parsed.inject_panic && !ctx.cfg.enable_fault_injection {
-        return respond(
-            conn,
-            ctx,
+        return ex.error(
             400,
-            &[],
-            &wire::error_body(
-                "fault_injection_disabled",
-                "this server does not honour inject_panic",
-            ),
-            false,
+            "fault_injection_disabled",
+            "this server does not honour inject_panic",
         );
     }
-    let handle = match resolve_handle(conn, ctx, parsed.model.as_deref()) {
+    let handle = match resolve_handle(ex, ctx, parsed.model.as_deref()) {
         Ok(h) => h,
         Err(after) => return after,
     };
@@ -1147,140 +703,312 @@ fn handle_explain(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
         tenant: parsed.tenant.as_deref().map(tenant_key),
         inject_panic: parsed.inject_panic,
     };
-    let future = match handle.submit_with(&series, opts) {
-        Ok(f) => f,
-        Err(e) => return respond_submit_error(conn, ctx, e),
-    };
-    match await_future(conn, ctx, future) {
-        Awaited::Done(Ok(result)) => {
-            let body = wire::explain_body(&result, parsed.summary, parsed.top_k);
-            respond(conn, ctx, 200, &[], &body, false)
-        }
-        Awaited::Done(Err(ServiceError::OnlyCorrectMiss { .. })) => {
-            let body = wire::error_body(
-                "only_correct_miss",
-                "no permutation was classified as the target class",
-            );
-            respond(conn, ctx, 422, &[], &body, false)
-        }
-        Awaited::Done(Err(e)) => {
-            let body = wire::error_body("worker_lost", &e.to_string());
-            respond(conn, ctx, 500, &[], &body, false)
-        }
-        Awaited::Disconnected => After::Close,
-        Awaited::DeadlineExceeded => {
-            let body = wire::error_body("deadline_exceeded", "request deadline exceeded");
-            respond(conn, ctx, 504, &[], &body, true)
-        }
+    match handle.submit_with(&series, opts) {
+        Ok(future) => answer(ex, ctx, future, |result| {
+            wire::explain_body(result, parsed.summary, parsed.top_k)
+        }),
+        Err(e) => respond_submit_error(ex, ctx, e),
     }
 }
 
-/// `POST /v1/eval`: validate the job against the target model's geometry,
-/// enqueue it, answer 202 with the job id. Validation happens here — not
-/// in the runner — so a bad request is a structured 400 at submit time
-/// instead of a `failed` job discovered on the first poll.
-fn handle_eval_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
+fn handle_classify(ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> After {
+    let parsed = match parse_body(ex, req, wire::parse_classify) {
+        Ok(p) => p,
         Err(after) => return after,
     };
-    let parsed = match wire::parse_eval(&value) {
-        Ok(p) => p,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
+    let handle = match resolve_handle(ex, ctx, parsed.model.as_deref()) {
+        Ok(h) => h,
+        Err(after) => return after,
     };
-    let name = match ctx.registry.resolve(parsed.model.as_deref()) {
-        Ok((name, _)) => name,
-        Err(e) => return respond_registry_error(conn, ctx, e),
-    };
-    if let Some(info) = ctx.registry.list().into_iter().find(|m| m.name == name) {
-        for (i, rows) in parsed.series_list.iter().enumerate() {
+    let series = MultivariateSeries::from_rows(&parsed.series);
+    let tenant = parsed.tenant.as_deref().map(tenant_key);
+    match handle.submit_classify_with(&series, tenant) {
+        Ok(future) => answer(ex, ctx, future, wire::classify_body),
+        Err(e) => respond_submit_error(ex, ctx, e),
+    }
+}
+
+/// A submit-time rejection of a job: the 400's error code and message.
+type Rejection = (&'static str, String);
+
+/// A job kind's submit-time checks (see [`JobKind::validate`]).
+type Validate<C> = fn(&JobRequest<C>, &str, Option<&ModelInfo>) -> Result<(), Rejection>;
+
+/// A job kind's work: model backend, instances, labels, parameters and
+/// cancel flag in, report out — the shape of [`run_harness`] and
+/// [`mine_motifs`].
+type Run<C, R> = fn(
+    &mut dyn EvalBackend,
+    &[MultivariateSeries],
+    &[usize],
+    &C,
+    Option<&AtomicBool>,
+) -> Result<R, String>;
+
+/// What sets one kind of background job apart; everything else — the
+/// routes, the store, the runner, persistence — is shared ([`JobRoute`]).
+struct JobKind<C, R> {
+    /// The route segment (`/v1/{name}`), the persisted-report prefix and
+    /// the runner thread's name.
+    name: &'static str,
+    /// Decodes a submitted body.
+    parse: fn(&Value) -> Result<JobRequest<C>, String>,
+    /// Submit-time checks against the resolved model's name and registry
+    /// listing, so a bad request is a structured 400 at submit time
+    /// instead of a `failed` job discovered on the first poll.
+    validate: Validate<C>,
+    /// The work, driven through the model's own service.
+    run: Run<C, R>,
+    /// The report as the `report` field of `GET /v1/{name}/{id}`.
+    report: fn(&R) -> Value,
+}
+
+/// `/v1/eval`: perturbation-based explanation-faithfulness jobs.
+const EVAL: JobKind<HarnessConfig, EvalReport> = JobKind {
+    name: "eval",
+    parse: wire::parse_eval,
+    validate: validate_eval,
+    run: run_harness,
+    report: wire::eval_report_value,
+};
+
+/// `/v1/analyze`: motif-mining jobs over dCAM maps.
+const ANALYZE: JobKind<AnalyzeConfig, MotifReport> = JobKind {
+    name: "analyze",
+    parse: wire::parse_analyze,
+    validate: validate_analyze,
+    run: mine_motifs,
+    report: wire::motif_report_value,
+};
+
+fn check_labels(labels: &[usize], model: &str, info: &ModelInfo) -> Result<(), Rejection> {
+    match labels
+        .iter()
+        .enumerate()
+        .find(|(_, &l)| l >= info.n_classes)
+    {
+        Some((i, l)) => Err((
+            "invalid_class",
+            format!(
+                "labels[{i}] = {l} but model \"{model}\" has {} classes",
+                info.n_classes
+            ),
+        )),
+        None => Ok(()),
+    }
+}
+
+fn validate_eval(
+    job: &JobRequest<HarnessConfig>,
+    model: &str,
+    info: Option<&ModelInfo>,
+) -> Result<(), Rejection> {
+    if let Some(info) = info {
+        for (i, rows) in job.series_list.iter().enumerate() {
             if rows.len() != info.dims {
-                return respond(
-                    conn,
-                    ctx,
-                    400,
-                    &[],
-                    &wire::error_body(
-                        "shape_mismatch",
-                        &format!(
-                            "instance {i} has {} dimensions, model \"{name}\" expects {}",
-                            rows.len(),
-                            info.dims
-                        ),
+                return Err((
+                    "shape_mismatch",
+                    format!(
+                        "instance {i} has {} dimensions, model \"{model}\" expects {}",
+                        rows.len(),
+                        info.dims
                     ),
-                    false,
-                );
+                ));
             }
         }
-        if let Some((i, &l)) = parsed
-            .labels
-            .iter()
-            .enumerate()
-            .find(|(_, &l)| l >= info.n_classes)
-        {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "invalid_class",
-                    &format!(
-                        "labels[{i}] = {l} but model \"{name}\" has {} classes",
-                        info.n_classes
-                    ),
-                ),
-                false,
-            );
-        }
+        check_labels(&job.labels, model, info)?;
     }
-    if parsed.config.methods.contains(&ExplainerKind::Occlusion) {
-        for (i, rows) in parsed.series_list.iter().enumerate() {
+    if job.config.methods.contains(&ExplainerKind::Occlusion) {
+        for (i, rows) in job.series_list.iter().enumerate() {
             let n = rows.first().map(Vec::len).unwrap_or(0);
-            if let Err(e) = occlusion_spans(n, &parsed.config.occlusion) {
-                return respond(
-                    conn,
-                    ctx,
-                    400,
-                    &[],
-                    &wire::error_body("bad_occlusion_window", &format!("instance {i}: {e}")),
-                    false,
-                );
+            occlusion_spans(n, &job.config.occlusion)
+                .map_err(|e| ("bad_occlusion_window", format!("instance {i}: {e}")))?;
+        }
+    }
+    Ok(())
+}
+
+fn validate_analyze(
+    job: &JobRequest<AnalyzeConfig>,
+    model: &str,
+    info: Option<&ModelInfo>,
+) -> Result<(), Rejection> {
+    // The pipeline needs one shared geometry: enforce it here (mining a
+    // ragged dataset is a submit error, not a runtime failure).
+    let geometry = |rows: &Vec<Vec<f32>>| (rows.len(), rows.first().map_or(0, Vec::len));
+    let (dims, _) = geometry(&job.series_list[0]);
+    if let Some(i) = job
+        .series_list
+        .iter()
+        .position(|rows| geometry(rows) != geometry(&job.series_list[0]))
+    {
+        return Err((
+            "shape_mismatch",
+            format!("instance {i} does not share instance 0's (dims, len) geometry"),
+        ));
+    }
+    if let Some(info) = info {
+        if dims != info.dims {
+            return Err((
+                "shape_mismatch",
+                format!(
+                    "instances have {dims} dimensions, model \"{model}\" expects {}",
+                    info.dims
+                ),
+            ));
+        }
+        check_labels(&job.labels, model, info)?;
+    }
+    Ok(())
+}
+
+/// One job kind's HTTP surface and store. `POST /v1/{name}` validates
+/// and enqueues (202 + id; 503 + `Retry-After` past the capacity),
+/// `GET /v1/{name}/{id}` polls, `DELETE /v1/{name}/{id}` cancels (queued:
+/// immediately; running: at the work's next stage boundary). One
+/// dedicated runner thread drains the queue, so shutdown never waits on
+/// more than the job in hand.
+struct JobRoute<C, R> {
+    kind: JobKind<C, R>,
+    jobs: JobStore<JobRequest<C>, R>,
+}
+
+impl<C, R: Clone> JobRoute<C, R> {
+    fn new(kind: JobKind<C, R>, capacity: usize) -> Self {
+        JobRoute {
+            kind,
+            jobs: JobStore::new(capacity),
+        }
+    }
+
+    fn counters_value(&self) -> Value {
+        wire::job_counters_value(&self.jobs.counters())
+    }
+
+    /// Answers `/v1/{name}` and `/v1/{name}/{id}`; `None` leaves any other
+    /// path to the caller.
+    fn route(&self, ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> Option<After> {
+        let name = self.kind.name;
+        let rest = req.path.strip_prefix("/v1/")?.strip_prefix(name)?;
+        if rest.is_empty() {
+            return Some(if req.method == "POST" {
+                self.submit(ex, req, ctx)
+            } else {
+                ex.method_not_allowed("POST")
+            });
+        }
+        let rest = rest.strip_prefix('/')?;
+        let Ok(id) = rest.parse::<u64>() else {
+            return Some(ex.error(404, "unknown_job", &format!("no {name} job \"{rest}\"")));
+        };
+        Some(match req.method.as_str() {
+            "GET" => self.status(ex, ctx, id),
+            // Idempotent on finished jobs; answers the status after the
+            // cancel took effect.
+            "DELETE" => match self.jobs.cancel(id) {
+                Some(status) => ex.json(200, &wire::job_submitted_body(id, status.name())),
+                None => self.unknown(ex, id),
+            },
+            _ => ex.method_not_allowed("GET, DELETE"),
+        })
+    }
+
+    fn unknown(&self, ex: &mut Exchange<'_>, id: u64) -> After {
+        let name = self.kind.name;
+        ex.error(404, "unknown_job", &format!("no {name} job {id}"))
+    }
+
+    fn submit(&self, ex: &mut Exchange<'_>, req: &Request, ctx: &Ctx) -> After {
+        let job = match parse_body(ex, req, self.kind.parse) {
+            Ok(job) => job,
+            Err(after) => return after,
+        };
+        let model = match ctx.registry.resolve(job.model.as_deref()) {
+            Ok((model, _)) => model,
+            Err(e) => return respond_registry_error(ex, e),
+        };
+        let info = ctx.registry.list().into_iter().find(|m| m.name == model);
+        if let Err((code, message)) = (self.kind.validate)(&job, &model, info.as_ref()) {
+            return ex.error(400, code, &message);
+        }
+        match self.jobs.submit(job) {
+            Some(id) => ex.json(202, &wire::job_submitted_body(id, "queued")),
+            None => {
+                ctx.counters
+                    .backpressure_503
+                    .fetch_add(1, Ordering::Relaxed);
+                let message = format!("{} job queue is full", self.kind.name);
+                ex.unavailable("overloaded", &message)
             }
         }
     }
-    match ctx.eval.submit(parsed) {
-        Some(id) => respond(
-            conn,
-            ctx,
-            202,
-            &[],
-            &wire::job_submitted_body(id, "queued"),
-            false,
-        ),
-        None => {
-            ctx.counters
-                .backpressure_503
-                .fetch_add(1, Ordering::Relaxed);
-            respond(
-                conn,
-                ctx,
-                503,
-                &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                &wire::error_body("overloaded", "eval job queue is full"),
-                false,
-            )
+
+    /// Job status, plus the report once done or the failure message once
+    /// failed. Ids unknown to the in-memory store (server restart, or
+    /// eviction past the retention bound) fall back to a report persisted
+    /// under [`ServerConfig::jobs_dir`], served verbatim.
+    fn status(&self, ex: &mut Exchange<'_>, ctx: &Ctx, id: u64) -> After {
+        if let Some(status) = self.jobs.status(id) {
+            return ex.json(200, &wire::job_status_body(id, &status, self.kind.report));
+        }
+        let persisted = ctx
+            .cfg
+            .jobs_dir
+            .as_deref()
+            .and_then(|dir| std::fs::read_to_string(report_path(dir, self.kind.name, id)).ok());
+        match persisted {
+            Some(body) => ex.json(200, &body),
+            None => self.unknown(ex, id),
         }
     }
+
+    /// The runner loop: one job at a time, the target model re-resolved
+    /// per job (a swap between submit and run uses the new generation —
+    /// exactly what live traffic would see).
+    fn run_jobs(&self, ctx: &Ctx) {
+        while let Some((id, job, cancel)) = self.jobs.next_job(&ctx.shutdown) {
+            let result = self.run(ctx, &job, &cancel);
+            if let (Some(dir), Ok(report)) = (ctx.cfg.jobs_dir.as_deref(), &result) {
+                let body =
+                    wire::job_status_body(id, &JobStatus::Done(report), |r| (self.kind.report)(r));
+                persist_report(dir, self.kind.name, id, &body);
+            }
+            self.jobs.finish(id, result);
+        }
+    }
+
+    fn run(&self, ctx: &Ctx, job: &JobRequest<C>, cancel: &AtomicBool) -> Result<R, String> {
+        let (_name, handle) = ctx
+            .registry
+            .resolve(job.model.as_deref())
+            .map_err(|e| e.to_string())?;
+        let samples: Vec<MultivariateSeries> = job
+            .series_list
+            .iter()
+            .map(|rows| MultivariateSeries::from_rows(rows))
+            .collect();
+        let mut backend = ServiceBackend::new(bounded(handle, ctx), None);
+        (self.kind.run)(
+            &mut backend,
+            &samples,
+            &job.labels,
+            &job.config,
+            Some(cancel),
+        )
+    }
+}
+
+/// Starts the runner thread of the job route `pick` selects.
+fn spawn_runner<C, R>(ctx: &Arc<Ctx>, pick: fn(&Ctx) -> &JobRoute<C, R>) -> JoinHandle<()>
+where
+    C: 'static,
+    R: Clone + 'static,
+{
+    let ctx = Arc::clone(ctx);
+    std::thread::Builder::new()
+        .name(format!("dcam-{}-runner", pick(&ctx).kind.name))
+        .spawn(move || pick(&ctx).run_jobs(&ctx))
+        .expect("spawn job runner thread")
 }
 
 /// The on-disk location of a persisted job report.
@@ -1313,8 +1041,8 @@ fn max_persisted_id(dir: &Path, kind: &str) -> u64 {
 /// Writes a finished job's rendered `GET` body to
 /// `{dir}/{kind}-{id}.json` through a unique temp file and an atomic
 /// rename, so a crash mid-write can never leave a half-written report
-/// where [`read_persisted_report`] would find it. Persistence failures
-/// are logged and swallowed — the in-memory report still serves.
+/// where a later `GET` would find it. Persistence failures are logged and
+/// swallowed — the in-memory report still serves.
 fn persist_report(dir: &Path, kind: &str, id: u64, body: &str) {
     let path = report_path(dir, kind, id);
     let tmp = dir.join(format!(".{kind}-{id}.json.tmp-{}", std::process::id()));
@@ -1330,372 +1058,5 @@ fn persist_report(dir: &Path, kind: &str, id: u64, body: &str) {
             "dcam-server: cannot persist {kind} job {id} to {}: {e}",
             path.display()
         );
-    }
-}
-
-/// A persisted report's body, verbatim — the fallback when the in-memory
-/// store no longer knows the id (server restart, or eviction past the
-/// retention bound).
-fn read_persisted_report(dir: &Path, kind: &str, id: u64) -> Option<String> {
-    std::fs::read_to_string(report_path(dir, kind, id)).ok()
-}
-
-/// `GET /v1/eval/{id}`: job status, plus the report once done or the
-/// failure message once failed. Ids unknown to the in-memory store fall
-/// back to a report persisted under [`ServerConfig::jobs_dir`].
-fn handle_eval_status(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.eval.status(id) {
-        None => match ctx
-            .cfg
-            .jobs_dir
-            .as_deref()
-            .and_then(|dir| read_persisted_report(dir, "eval", id))
-        {
-            Some(body) => respond(conn, ctx, 200, &[], &body, false),
-            None => respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no eval job {id}")),
-                false,
-            ),
-        },
-        Some(status) => {
-            let body = match &status {
-                JobStatus::Done(report) => {
-                    wire::eval_status_body(id, status.name(), Some(report), None)
-                }
-                JobStatus::Failed(msg) => {
-                    wire::eval_status_body(id, status.name(), None, Some(msg))
-                }
-                _ => wire::eval_status_body(id, status.name(), None, None),
-            };
-            respond(conn, ctx, 200, &[], &body, false)
-        }
-    }
-}
-
-/// `DELETE /v1/eval/{id}`: cancel a queued or running job (idempotent on
-/// finished ones); answers with the status after the cancel took effect.
-fn handle_eval_cancel(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.eval.cancel(id) {
-        None => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &wire::error_body("unknown_job", &format!("no eval job {id}")),
-            false,
-        ),
-        Some(status) => respond(
-            conn,
-            ctx,
-            200,
-            &[],
-            &wire::job_submitted_body(id, status.name()),
-            false,
-        ),
-    }
-}
-
-/// The eval runner thread: drains the job queue one job at a time,
-/// re-resolving the target model per job (a swap between submit and run
-/// evaluates the new generation — exactly what live traffic would see).
-fn eval_runner(ctx: &Ctx) {
-    while let Some((id, spec, cancel)) = ctx.eval.next_job(&ctx.shutdown) {
-        let result = run_eval_job(ctx, spec, &cancel);
-        if let (Some(dir), Ok(report)) = (ctx.cfg.jobs_dir.as_deref(), &result) {
-            let body = wire::eval_status_body(id, "done", Some(report), None);
-            persist_report(dir, "eval", id, &body);
-        }
-        ctx.eval.finish(id, result);
-    }
-}
-
-fn run_eval_job(
-    ctx: &Ctx,
-    spec: wire::EvalRequest,
-    cancel: &AtomicBool,
-) -> Result<EvalReport, String> {
-    let (_name, handle) = ctx
-        .registry
-        .resolve(spec.model.as_deref())
-        .map_err(|e| e.to_string())?;
-    // Same deadline rebind as `resolve_handle`: the runner must never park
-    // forever on a full queue either.
-    let handle = match handle.backpressure() {
-        Backpressure::Block => {
-            handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
-        }
-        _ => handle,
-    };
-    let samples: Vec<MultivariateSeries> = spec
-        .series_list
-        .iter()
-        .map(|rows| MultivariateSeries::from_rows(rows))
-        .collect();
-    let mut backend = ServiceBackend::new(handle, None);
-    run_harness(
-        &mut backend,
-        &samples,
-        &spec.labels,
-        &spec.config,
-        Some(cancel),
-    )
-}
-
-/// `POST /v1/analyze`: validate the mining job against the target model's
-/// geometry, enqueue it, answer 202 with the job id. Like `/v1/eval`,
-/// validation happens at submit time so bad requests are structured 400s
-/// rather than `failed` jobs discovered on the first poll.
-fn handle_analyze_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
-        Err(after) => return after,
-    };
-    let parsed = match wire::parse_analyze(&value) {
-        Ok(p) => p,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
-    };
-    let name = match ctx.registry.resolve(parsed.model.as_deref()) {
-        Ok((name, _)) => name,
-        Err(e) => return respond_registry_error(conn, ctx, e),
-    };
-    // The pipeline needs one shared geometry: enforce it here (mining a
-    // ragged dataset is a submit error, not a runtime failure).
-    let n0 = parsed.series_list[0].first().map(Vec::len).unwrap_or(0);
-    for (i, rows) in parsed.series_list.iter().enumerate() {
-        let n = rows.first().map(Vec::len).unwrap_or(0);
-        if rows.len() != parsed.series_list[0].len() || n != n0 {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "shape_mismatch",
-                    &format!("instance {i} does not share instance 0's (dims, len) geometry"),
-                ),
-                false,
-            );
-        }
-    }
-    if let Some(info) = ctx.registry.list().into_iter().find(|m| m.name == name) {
-        if parsed.series_list[0].len() != info.dims {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "shape_mismatch",
-                    &format!(
-                        "instances have {} dimensions, model \"{name}\" expects {}",
-                        parsed.series_list[0].len(),
-                        info.dims
-                    ),
-                ),
-                false,
-            );
-        }
-        if let Some((i, &l)) = parsed
-            .labels
-            .iter()
-            .enumerate()
-            .find(|(_, &l)| l >= info.n_classes)
-        {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "invalid_class",
-                    &format!(
-                        "labels[{i}] = {l} but model \"{name}\" has {} classes",
-                        info.n_classes
-                    ),
-                ),
-                false,
-            );
-        }
-    }
-    match ctx.analyze.submit(parsed) {
-        Some(id) => respond(
-            conn,
-            ctx,
-            202,
-            &[],
-            &wire::job_submitted_body(id, "queued"),
-            false,
-        ),
-        None => {
-            ctx.counters
-                .backpressure_503
-                .fetch_add(1, Ordering::Relaxed);
-            respond(
-                conn,
-                ctx,
-                503,
-                &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                &wire::error_body("overloaded", "analyze job queue is full"),
-                false,
-            )
-        }
-    }
-}
-
-/// `GET /v1/analyze/{id}`: job status, plus the motif report once done or
-/// the failure message once failed. Ids unknown to the in-memory store
-/// fall back to a report persisted under [`ServerConfig::jobs_dir`].
-fn handle_analyze_status(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.analyze.status(id) {
-        None => match ctx
-            .cfg
-            .jobs_dir
-            .as_deref()
-            .and_then(|dir| read_persisted_report(dir, "analyze", id))
-        {
-            Some(body) => respond(conn, ctx, 200, &[], &body, false),
-            None => respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no analyze job {id}")),
-                false,
-            ),
-        },
-        Some(status) => {
-            let body = match &status {
-                JobStatus::Done(report) => {
-                    wire::analyze_status_body(id, status.name(), Some(report), None)
-                }
-                JobStatus::Failed(msg) => {
-                    wire::analyze_status_body(id, status.name(), None, Some(msg))
-                }
-                _ => wire::analyze_status_body(id, status.name(), None, None),
-            };
-            respond(conn, ctx, 200, &[], &body, false)
-        }
-    }
-}
-
-/// `DELETE /v1/analyze/{id}`: cancel a queued or running job (idempotent
-/// on finished ones); answers with the status after the cancel took
-/// effect.
-fn handle_analyze_cancel(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.analyze.cancel(id) {
-        None => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &wire::error_body("unknown_job", &format!("no analyze job {id}")),
-            false,
-        ),
-        Some(status) => respond(
-            conn,
-            ctx,
-            200,
-            &[],
-            &wire::job_submitted_body(id, status.name()),
-            false,
-        ),
-    }
-}
-
-/// The analyze runner thread: same shape as [`eval_runner`] — one job at
-/// a time, model re-resolved per job.
-fn analyze_runner(ctx: &Ctx) {
-    while let Some((id, spec, cancel)) = ctx.analyze.next_job(&ctx.shutdown) {
-        let result = run_analyze_job(ctx, spec, &cancel);
-        if let (Some(dir), Ok(report)) = (ctx.cfg.jobs_dir.as_deref(), &result) {
-            let body = wire::analyze_status_body(id, "done", Some(report), None);
-            persist_report(dir, "analyze", id, &body);
-        }
-        ctx.analyze.finish(id, result);
-    }
-}
-
-fn run_analyze_job(
-    ctx: &Ctx,
-    spec: wire::AnalyzeRequest,
-    cancel: &AtomicBool,
-) -> Result<MotifReport, String> {
-    let (_name, handle) = ctx
-        .registry
-        .resolve(spec.model.as_deref())
-        .map_err(|e| e.to_string())?;
-    let handle = match handle.backpressure() {
-        Backpressure::Block => {
-            handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
-        }
-        _ => handle,
-    };
-    let samples: Vec<MultivariateSeries> = spec
-        .series_list
-        .iter()
-        .map(|rows| MultivariateSeries::from_rows(rows))
-        .collect();
-    let mut backend = ServiceBackend::new(handle, None);
-    mine_motifs(
-        &mut backend,
-        &samples,
-        &spec.labels,
-        &spec.config,
-        Some(cancel),
-    )
-}
-
-fn handle_classify(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
-        Err(after) => return after,
-    };
-    let parsed = match wire::parse_classify(&value) {
-        Ok(r) => r,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
-    };
-    let handle = match resolve_handle(conn, ctx, parsed.model.as_deref()) {
-        Ok(h) => h,
-        Err(after) => return after,
-    };
-    let series = MultivariateSeries::from_rows(&parsed.series);
-    let tenant = parsed.tenant.as_deref().map(tenant_key);
-    let future = match handle.submit_classify_with(&series, tenant) {
-        Ok(f) => f,
-        Err(e) => return respond_submit_error(conn, ctx, e),
-    };
-    match await_future(conn, ctx, future) {
-        Awaited::Done(Ok(c)) => respond(conn, ctx, 200, &[], &wire::classify_body(&c), false),
-        Awaited::Done(Err(e)) => {
-            let body = wire::error_body("worker_lost", &e.to_string());
-            respond(conn, ctx, 500, &[], &body, false)
-        }
-        Awaited::Disconnected => After::Close,
-        Awaited::DeadlineExceeded => {
-            let body = wire::error_body("deadline_exceeded", "request deadline exceeded");
-            respond(conn, ctx, 504, &[], &body, true)
-        }
     }
 }

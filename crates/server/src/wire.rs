@@ -6,7 +6,8 @@
 //! built as [`serde::Value`] trees and printed through the vendored
 //! `serde_json`.
 
-use crate::jobs::JobCounters;
+use crate::http::HttpStats;
+use crate::jobs::{JobCounters, JobStatus};
 use dcam::dcam::DcamResult;
 use dcam::occlusion::OcclusionConfig;
 use dcam::registry::ModelInfo;
@@ -57,8 +58,14 @@ fn series_rows(v: &Value) -> Result<Vec<Vec<f32>>, String> {
         for (t, x) in row.iter().enumerate() {
             let x = x
                 .as_f64()
-                .ok_or_else(|| format!("series[{d}][{t}] is not a number"))?;
-            samples.push(x as f32);
+                .ok_or_else(|| format!("series[{d}][{t}] is not a number"))?
+                as f32;
+            // `1e400` parses to inf and `1e39` overflows f32: either would
+            // poison the whole map with NaN.
+            if !x.is_finite() {
+                return Err(format!("series[{d}][{t}] is not a finite f32 value"));
+            }
+            samples.push(x);
         }
         if samples.len() != out.first().map_or(samples.len(), Vec::len) {
             return Err(format!(
@@ -265,24 +272,32 @@ pub fn swap_body(name: &str, version: u64, old_stats: &ServiceStats) -> String {
     serde_json::to_string(&v).unwrap_or_default()
 }
 
-/// A parsed `POST /v1/eval` body.
+/// A parsed job body (`POST /v1/eval`, `POST /v1/analyze`): a labelled
+/// dataset plus the job kind's parameters `C`.
 #[derive(Debug, Clone)]
-pub struct EvalRequest {
-    /// Registry model to evaluate; `None` uses the server's default.
+pub struct JobRequest<C> {
+    /// Registry model to run against; `None` uses the server's default.
     pub model: Option<String>,
     /// Instances, each `D × n` rows.
     pub series_list: Vec<Vec<Vec<f32>>>,
     /// True label per instance.
     pub labels: Vec<usize>,
-    /// Harness parameters assembled from the optional body fields.
-    pub config: HarnessConfig,
+    /// Parameters assembled from the kind's optional body fields.
+    pub config: C,
 }
 
-/// Parses a `POST /v1/eval` body: `series` (array of instances), `labels`,
-/// plus optional `model`, `methods`, `k_grid`, `mask`,
-/// `occlusion: {window, stride, baseline}` and `seed` overriding the
-/// [`HarnessConfig`] defaults.
-pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
+/// A parsed `POST /v1/eval` body.
+pub type EvalRequest = JobRequest<HarnessConfig>;
+
+/// A parsed `POST /v1/analyze` body.
+pub type AnalyzeRequest = JobRequest<AnalyzeConfig>;
+
+/// Instances (each `D × n` rows) and one label per instance.
+type Dataset = (Vec<Vec<Vec<f32>>>, Vec<usize>);
+
+/// The dataset half of a job body: `series` (array of instances) and
+/// `labels`.
+fn parse_dataset(v: &Value) -> Result<Dataset, String> {
     let instances = v
         .get("series")
         .ok_or("missing field \"series\"")?
@@ -316,7 +331,15 @@ pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
             labels.len()
         ));
     }
+    Ok((series_list, labels))
+}
 
+/// Parses a `POST /v1/eval` body: `series` (array of instances), `labels`,
+/// plus optional `model`, `methods`, `k_grid`, `mask`,
+/// `occlusion: {window, stride, baseline}` and `seed` overriding the
+/// [`HarnessConfig`] defaults.
+pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
+    let (series_list, labels) = parse_dataset(v)?;
     let mut config = HarnessConfig::default();
     if let Some(m) = v.get("methods") {
         let arr = m
@@ -488,38 +511,19 @@ pub fn job_submitted_body(id: u64, status: &str) -> String {
     serde_json::to_string(&v).unwrap_or_default()
 }
 
-/// The `GET /v1/eval/{id}` body: status plus — once finished — the report
-/// or the failure message.
-pub fn eval_status_body(
-    id: u64,
-    status: &str,
-    report: Option<&EvalReport>,
-    error: Option<&str>,
-) -> String {
+/// The `GET /v1/{eval,analyze}/{id}` body: status plus — once finished —
+/// the report (rendered by `report`) or the failure message.
+pub fn job_status_body<R>(id: u64, status: &JobStatus<R>, report: impl Fn(&R) -> Value) -> String {
     let mut fields = vec![
         ("id", num(id as f64)),
-        ("status", Value::String(status.into())),
+        ("status", Value::String(status.name().into())),
     ];
-    if let Some(r) = report {
-        fields.push(("report", eval_report_value(r)));
-    }
-    if let Some(e) = error {
-        fields.push(("error", Value::String(e.into())));
+    match status {
+        JobStatus::Done(r) => fields.push(("report", report(r))),
+        JobStatus::Failed(e) => fields.push(("error", Value::String(e.clone()))),
+        _ => {}
     }
     serde_json::to_string(&obj(fields)).unwrap_or_default()
-}
-
-/// A parsed `POST /v1/analyze` body.
-#[derive(Debug, Clone)]
-pub struct AnalyzeRequest {
-    /// Registry model to mine against; `None` uses the server's default.
-    pub model: Option<String>,
-    /// Instances, each `D × n` rows.
-    pub series_list: Vec<Vec<Vec<f32>>>,
-    /// True label per instance.
-    pub labels: Vec<usize>,
-    /// Mining parameters assembled from the optional body fields.
-    pub config: AnalyzeConfig,
 }
 
 /// Parses a `POST /v1/analyze` body: `series` (array of instances) and
@@ -527,40 +531,7 @@ pub struct AnalyzeRequest {
 /// `dba_iters`, `band`, `window`, `top_windows`, `tol` and `seed`
 /// overriding the [`AnalyzeConfig`] defaults.
 pub fn parse_analyze(v: &Value) -> Result<AnalyzeRequest, String> {
-    let instances = v
-        .get("series")
-        .ok_or("missing field \"series\"")?
-        .as_array()
-        .ok_or("\"series\" must be an array of instances")?;
-    if instances.is_empty() {
-        return Err("\"series\" must hold at least one instance".into());
-    }
-    let mut series_list = Vec::with_capacity(instances.len());
-    for (i, inst) in instances.iter().enumerate() {
-        let wrapped = Value::Object(vec![("series".into(), inst.clone())]);
-        let rows = series_rows(&wrapped).map_err(|e| format!("instance {i}: {e}"))?;
-        series_list.push(rows);
-    }
-    let labels_v = v
-        .get("labels")
-        .ok_or("missing field \"labels\"")?
-        .as_array()
-        .ok_or("\"labels\" must be an array of class indices")?;
-    let mut labels = Vec::with_capacity(labels_v.len());
-    for (i, l) in labels_v.iter().enumerate() {
-        labels.push(
-            l.as_usize()
-                .ok_or_else(|| format!("labels[{i}] is not a non-negative integer"))?,
-        );
-    }
-    if labels.len() != series_list.len() {
-        return Err(format!(
-            "{} instances but {} labels",
-            series_list.len(),
-            labels.len()
-        ));
-    }
-
+    let (series_list, labels) = parse_dataset(v)?;
     let mut config = AnalyzeConfig::default();
     if let Some(c) = opt_usize(v, "clusters")? {
         if c == 0 {
@@ -800,27 +771,6 @@ pub fn motif_report_from_value(v: &Value) -> Result<MotifReport, String> {
     })
 }
 
-/// The `GET /v1/analyze/{id}` body: status plus — once finished — the
-/// report or the failure message.
-pub fn analyze_status_body(
-    id: u64,
-    status: &str,
-    report: Option<&MotifReport>,
-    error: Option<&str>,
-) -> String {
-    let mut fields = vec![
-        ("id", num(id as f64)),
-        ("status", Value::String(status.into())),
-    ];
-    if let Some(r) = report {
-        fields.push(("report", motif_report_value(r)));
-    }
-    if let Some(e) = error {
-        fields.push(("error", Value::String(e.into())));
-    }
-    serde_json::to_string(&obj(fields)).unwrap_or_default()
-}
-
 /// One job store's [`JobCounters`] as a JSON tree (the per-endpoint
 /// entries of the `jobs` object in `GET /stats`).
 pub fn job_counters_value(c: &JobCounters) -> Value {
@@ -830,6 +780,23 @@ pub fn job_counters_value(c: &JobCounters) -> Value {
         ("failed", num(c.failed as f64)),
         ("cancelled", num(c.cancelled as f64)),
     ])
+}
+
+/// A front end's [`HttpStats`] as JSON fields (the transport counters of
+/// the shard's `GET /stats` `server` object and the router's `/fleet`
+/// `http` object).
+pub fn http_stats_fields(s: &HttpStats) -> Vec<(String, Value)> {
+    [
+        ("connections_accepted", s.connections_accepted),
+        ("connections_rejected", s.connections_rejected),
+        ("requests", s.requests),
+        ("responses_2xx", s.responses_2xx),
+        ("responses_4xx", s.responses_4xx),
+        ("responses_5xx", s.responses_5xx),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), num(v as f64)))
+    .collect()
 }
 
 /// [`ServiceStats`] as a JSON tree (durations in milliseconds).

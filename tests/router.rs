@@ -343,6 +343,11 @@ fn routes_explains_and_reports_fleet() {
             "a 4xx pass-through must not count as a shard failure"
         );
     }
+    // The router's front-end counters saw that 404 as its one 4xx.
+    let http = fleet.get("http").expect("front-end counters");
+    assert_eq!(http.get("responses_4xx").and_then(Value::as_usize), Some(1));
+    assert!(http.get("requests").and_then(Value::as_usize) >= Some(6));
+    assert!(http.get("connections_accepted").and_then(Value::as_usize) >= Some(1));
     router.shutdown();
 }
 
